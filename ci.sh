@@ -17,19 +17,16 @@
 #                      -benchmem, then the leafscan ablation, which
 #                      fails if the plane-sweep leaf scan evaluates
 #                      more point pairs than the brute scan (writes
-#                      BENCH_PR4.json), then the pr6 kernel ablation,
-#                      which fails if the grid scan + batched kernel
-#                      run slower than the legacy sweep baseline or
-#                      drift its cost counters (writes BENCH_PR6.json),
-#                      then the pr9 sharding gate, which fails if the
-#                      sharded scatter-gather run deviates from the
-#                      monolithic answer, prunes under 30% of the
-#                      planned shard pairs, runs slower than the
-#                      monolithic baseline, or processes more node
-#                      pairs than it (writes BENCH_PR9.json),
+#                      BENCH_PR4.json), then the pr9 sharding gate,
+#                      which fails if the sharded scatter-gather run
+#                      deviates from the monolithic answer, prunes
+#                      under 30% of the planned shard pairs, runs
+#                      slower than the monolithic baseline, or
+#                      processes more node pairs than it (writes
+#                      BENCH_PR9.json),
 #                      then the ctxflow cancellation gate, which fails
 #                      if threading a live (never-cancelled) context
-#                      through the PR6-optimized hot path costs more
+#                      through the default sequential HEAP costs more
 #                      than 1% wall clock or perturbs any counter,
 #                      then the pr10 explain gate, which fails if the
 #                      explain-off query path costs more than 1% over
@@ -74,14 +71,11 @@ lint_self() {
 	done
 }
 
-# bench regenerates BENCH_PR4.json and BENCH_PR6.json and enforces the
-# perf regression gates: cpqbench -pr4 exits non-zero if the sweep
-# evaluates more point pairs than the brute scan on the standard
-# uniform workload; cpqbench -pr6 re-measures the BENCH_PR4 sweep
-# configuration (sequential HEAP, sweep leaf scan, legacy kernel) as
-# its in-process baseline and exits non-zero if the grid scan +
-# batched kernel run slower than it, or if they change the paper's
-# disk-access / node-pair counters or the result distances. The Go
+# bench regenerates BENCH_PR4.json, BENCH_PR9.json and BENCH_PR10.json
+# and enforces the perf regression gates: cpqbench -pr4 exits non-zero
+# if the sweep evaluates more point pairs than the brute scan on the
+# standard uniform workload; -pr9, ctxflow and -pr10 exit non-zero on the
+# sharding, cancellation and explain gates described above. The Go
 # benchmarks run once per case (-benchtime 1x) as a smoke pass; rerun
 # them with a higher -benchtime for stable timings.
 bench() {
@@ -89,7 +83,6 @@ bench() {
 	go test -run '^$' -bench 'BenchmarkParallelKCPQ' -benchtime 1x -benchmem ./internal/bench
 	go test -run '^$' -bench 'BenchmarkPairHeap' -benchtime 100x -benchmem ./internal/core
 	go run ./cmd/cpqbench -experiment leafscan -pr4 BENCH_PR4.json
-	go run ./cmd/cpqbench -experiment pr6 -pr6 BENCH_PR6.json
 	go run ./cmd/cpqbench -experiment pr9 -pr9 BENCH_PR9.json
 	go run ./cmd/cpqbench -experiment ctxflow
 	go run ./cmd/cpqbench -experiment pr10 -pr10 BENCH_PR10.json

@@ -10,13 +10,10 @@
 //	cpqbench -scale 0.25           # custom scale
 //	cpqbench -parallel 4           # 4 HEAP workers (0 = GOMAXPROCS)
 //	cpqbench -leafscan brute       # force a leaf scan strategy on every run
-//	cpqbench -leafscan auto        # let the cost-model advisor pick per run
-//	cpqbench -batch-expand         # batched heap dequeues in sequential HEAP
 //	cpqbench -nodecache 4096       # attach a decoded-node cache to every tree
 //	cpqbench -shards 8             # run every query sharded over 8 STR tiles
 //	cpqbench -shard-transport inproc  # transport for sharded runs (or CPQ_SHARDS env)
 //	cpqbench -pr4 BENCH_PR4.json   # run the leafscan ablation, write its report
-//	cpqbench -pr6 BENCH_PR6.json   # run the kernel ablation, write its report
 //	cpqbench -pr9 BENCH_PR9.json   # run the sharding gate, write its report
 //	cpqbench -pr10 BENCH_PR10.json # run the explain-overhead gate, write its report
 //	cpqbench -explain              # capture EXPLAIN per query, print the last query's tree
@@ -93,13 +90,11 @@ func main() {
 		quick      = flag.Bool("quick", false, "scale cardinalities down to 1/10 for a fast smoke run")
 		scale      = flag.Float64("scale", 1.0, "cardinality scale factor (1.0 = the paper's sizes)")
 		parallel   = flag.Int("parallel", 1, "HEAP worker count for experiments that don't pick their own; 1 = the paper's sequential algorithm, 0 = GOMAXPROCS")
-		leafScan   = flag.String("leafscan", "", "force a leaf scan strategy on every run: sweep, brute, grid or auto (default: per-experiment choice)")
-		batchExp   = flag.Bool("batch-expand", false, "batched heap dequeues in the sequential HEAP algorithm on every run")
+		leafScan   = flag.String("leafscan", "", "force a leaf scan strategy on every run: sweep or brute (default: per-experiment choice)")
 		nodeCache  = flag.Int("nodecache", 0, "decoded-node cache capacity (nodes per tree) attached to experiment trees; 0 = no cache (the paper's exact disk accounting)")
 		shards     = flag.Int("shards", envShards(), "run every query sharded over this many STR tiles (scatter-gather executor); <= 1 = the monolithic join (default from CPQ_SHARDS)")
 		shardTr    = flag.String("shard-transport", "inproc", "transport carrying shard-pair joins of sharded runs (inproc)")
 		pr4        = flag.String("pr4", "", "run the leafscan ablation and write its JSON report to this file")
-		pr6        = flag.String("pr6", "", "run the pr6 kernel ablation and write its JSON report to this file")
 		pr9        = flag.String("pr9", "", "run the pr9 sharding gate and write its JSON report to this file")
 		pr10       = flag.String("pr10", "", "run the pr10 explain-overhead gate and write its JSON report to this file")
 		explainOn  = flag.Bool("explain", false, "attach an EXPLAIN capture to every query and print the last query's plan+execution tree at the end")
@@ -140,15 +135,8 @@ func main() {
 		bench.SetDefaultLeafScan(core.LeafScanSweep)
 	case "brute":
 		bench.SetDefaultLeafScan(core.LeafScanBrute)
-	case "grid":
-		bench.SetDefaultLeafScan(core.LeafScanGrid)
-	case "auto":
-		bench.SetDefaultLeafScanAuto()
 	default:
-		fatal(fmt.Errorf("unknown -leafscan %q; want sweep, brute, grid or auto", *leafScan))
-	}
-	if *batchExp {
-		bench.SetDefaultBatchExpand(true)
+		fatal(fmt.Errorf("unknown -leafscan %q; want sweep or brute", *leafScan))
 	}
 	if *nodeCache > 0 {
 		bench.SetDefaultNodeCache(*nodeCache)
@@ -233,11 +221,11 @@ func main() {
 			toRun = append(toRun, e)
 		}
 	}
-	// -pr4/-pr6/-pr9 need their ablations; append them if not selected.
+	// -pr4/-pr9/-pr10 need their experiments; append them if not selected.
 	for _, need := range []struct {
 		flagVal string
 		exp     string
-	}{{*pr4, "leafscan"}, {*pr6, "pr6"}, {*pr9, "pr9"}, {*pr10, "pr10"}} {
+	}{{*pr4, "leafscan"}, {*pr9, "pr9"}, {*pr10, "pr10"}} {
 		if need.flagVal == "" {
 			continue
 		}
@@ -301,20 +289,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(w, "wrote leafscan report to %s\n", *pr4)
-	}
-	if *pr6 != "" {
-		rep := bench.PR6LastReport()
-		if rep == nil {
-			fatal(fmt.Errorf("pr6 ablation produced no report"))
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*pr6, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(w, "wrote pr6 report to %s\n", *pr6)
 	}
 	if *pr9 != "" {
 		rep := bench.PR9LastReport()

@@ -18,7 +18,10 @@
 // Distances, Heap) plus the tie-break strategies T1-T5, the fix-at-root /
 // fix-at-leaves height treatments, and two K-pruning rules; every option
 // of the paper's experimental study is reachable through QueryOption
-// values.
+// values. Leaf pairs are scanned with a plane sweep by default, or with
+// the paper's all-pairs scan via WithLeafScan(LeafScanBrute); node-pair
+// expansion always runs through one batched kernel, and the sequential
+// HEAP pops one pair at a time in strict best-first order.
 //
 // # Quick start
 //

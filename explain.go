@@ -85,7 +85,7 @@ func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pa
 	slowLog := cfg.core.SlowLog
 	cfg.core.SlowLog = nil
 
-	cap.SetPlan(buildExplainPlan(p, q, k, cfg))
+	cap.SetPlan(buildExplainPlan(k, cfg))
 
 	var pairs []Pair
 	var stats Stats
@@ -138,24 +138,17 @@ func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pa
 	return pairs, stats, nil
 }
 
-// buildExplainPlan renders the query plan: the resolved options plus the
-// advisor's leaf-scan and shard recommendations with the costmodel inputs
-// that produced them (computed here, off the hot path — explain is on).
-func buildExplainPlan(p, q *Index, k int, cfg queryConfig) explain.Plan {
-	plan := explain.Plan{
+// buildExplainPlan renders the query plan from the resolved options. The
+// shard plan (count, transport, tile boundaries) is filled by the sharded
+// runner once the partitioner has built the tiles.
+func buildExplainPlan(k int, cfg queryConfig) explain.Plan {
+	return explain.Plan{
 		Label:     core.QueryLabel(cfg.core, k),
 		Algorithm: cfg.core.Algorithm.String(),
 		K:         k,
 		Workers:   explainWorkers(cfg.core),
 		LeafScan:  cfg.core.LeafScan.String(),
-		Expand:    cfg.core.Expand.String(),
 	}
-	if _, dec, err := core.AdviseLeafScanDecision(p.tree, q.tree, k); err == nil {
-		plan.Decisions = append(plan.Decisions, dec)
-	}
-	// The shard plan (count, transport, tile boundaries) is filled by the
-	// sharded runner once the partitioner has built the tiles.
-	return plan
 }
 
 // explainWorkers resolves the Parallelism knob the way the engine does.

@@ -47,8 +47,8 @@ func TestExplainUnsharded(t *testing.T) {
 	if rep.Plan.Algorithm != "HEAP" || rep.Plan.K != 10 {
 		t.Fatalf("plan: %+v", rep.Plan)
 	}
-	if len(rep.Plan.Decisions) == 0 {
-		t.Fatal("plan carries no advisor decisions")
+	if rep.Plan.LeafScan != "sweep" {
+		t.Fatalf("plan leaf scan %q, want the default sweep", rep.Plan.LeafScan)
 	}
 	if rep.Exec.Results != len(got) || rep.Exec.Stats.NodePairsProcessed != gotStats.NodePairsProcessed {
 		t.Fatalf("execution totals: %d results / %d node pairs, stats say %d / %d",

@@ -11,9 +11,9 @@ import (
 )
 
 // This file is the cancellation-overhead gate behind `ci.sh bench`: the
-// PR6-optimised sequential configuration (grid leaf scan, batched
-// kernel, heap-batch dequeues, K=100 over the standard 100,000-point
-// uniform workload, B=512) run twice per repetition — once through the
+// default sequential HEAP configuration (plane-sweep leaf scan, batched
+// expansion kernel, K=100 over the standard 100,000-point uniform
+// workload, B=512) run twice per repetition — once through the
 // Background shim (ctx.Done() == nil, the poll gate never touches the
 // context) and once under a live cancellable context that is never
 // cancelled (every stride-th poll really calls ctx.Err()). The two
@@ -48,14 +48,11 @@ func runCtxFlow(l *Lab, w io.Writer) error {
 	// overrides for its duration.
 	savedScan := defaultLeafScan.Load()
 	savedPar := defaultParallelism.Load()
-	savedBatch := defaultBatchExpand.Load()
 	defaultLeafScan.Store(0)
 	defaultParallelism.Store(0)
-	defaultBatchExpand.Store(false)
 	defer func() {
 		defaultLeafScan.Store(savedScan)
 		defaultParallelism.Store(savedPar)
-		defaultBatchExpand.Store(savedBatch)
 	}()
 
 	cfg := l.Config
@@ -77,9 +74,6 @@ func runCtxFlow(l *Lab, w io.Writer) error {
 	tb.SetNodeCache(nil)
 
 	opts := core.DefaultOptions(core.Heap)
-	opts.LeafScan = core.LeafScanGrid
-	opts.Expand = core.ExpandBatched
-	opts.BatchExpand = true
 
 	// ctx is live (Done() != nil) but never cancelled, so the stride
 	// gate's every firing pays the real ctx.Err() call.
@@ -145,7 +139,7 @@ func runCtxFlow(l *Lab, w io.Writer) error {
 	}
 
 	t := newTable(
-		fmt.Sprintf("Cancellation overhead (uniform %d/%d bulk-loaded, K=%d, B=%d, HEAP grid+batched)", n, n, k, buffer),
+		fmt.Sprintf("Cancellation overhead (uniform %d/%d bulk-loaded, K=%d, B=%d, HEAP defaults)", n, n, k, buffer),
 		"variant", "wall (best of "+fmt.Sprint(ctxflowReps)+")", "accesses", "node pairs")
 	for i, v := range variants {
 		t.addRow(v.label, best[i].Round(time.Microsecond).String(),

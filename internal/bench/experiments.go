@@ -35,7 +35,6 @@ var registry = []Experiment{
 	{"semi", "Semi-CPQ: per-point NN vs batched leaf traversal", runSemi},
 	{"parallel", "Parallel HEAP engine: wall-clock speedup and accesses vs workers", runParallel},
 	{"leafscan", "Ablation: plane-sweep vs brute leaf scan, decoded-node cache on/off", runLeafScan},
-	{"pr6", "Ablation: grid leaf scan, batched MINMINDIST kernel, heap-batch expansion", runPR6},
 	{"pr9", "Gate: sharded scatter-gather (STR tiles, broadcast bound) vs monolithic join", runPR9},
 	{"ctxflow", "Gate: cancellation-poll overhead of the context-threaded hot path", runCtxFlow},
 	{"pr10", "Gate: EXPLAIN capture overhead and result parity, explain-off vs bare executor", runPR10},

@@ -191,25 +191,15 @@ var defaultParallelism atomic.Int64
 // core.AutoParallelism selects GOMAXPROCS).
 func SetDefaultParallelism(n int) { defaultParallelism.Store(int64(n)) }
 
-// defaultLeafScan, when set (stored value = LeafScan + 1, or
-// leafScanAuto), overrides Options.LeafScan in RunCore: cpqbench -leafscan
-// and the CPQ_LEAFSCAN env knob plumb through here so every experiment and
-// benchmark can be A/B'd between the sweep, brute and grid leaf scans
-// without per-experiment wiring.
+// defaultLeafScan, when set (stored value = LeafScan + 1), overrides
+// Options.LeafScan in RunCore: cpqbench -leafscan and the CPQ_LEAFSCAN env
+// knob plumb through here so every experiment and benchmark can be A/B'd
+// between the sweep and brute leaf scans without per-experiment wiring.
 var defaultLeafScan atomic.Int64
-
-// leafScanAuto is the defaultLeafScan sentinel for the advisor-driven
-// choice: RunCore asks core.AdviseLeafScan per query, so the pick tracks
-// each workload's cardinalities, overlap and K.
-const leafScanAuto = -1
 
 // SetDefaultLeafScan forces a leaf scan strategy onto every RunCore call.
 // Pass a negative value to restore the per-experiment default.
 func SetDefaultLeafScan(l core.LeafScan) { defaultLeafScan.Store(int64(l) + 1) }
-
-// SetDefaultLeafScanAuto lets the cost-model advisor pick the leaf scan of
-// every RunCore call (core.AdviseLeafScan).
-func SetDefaultLeafScanAuto() { defaultLeafScan.Store(leafScanAuto) }
 
 // ClearDefaultLeafScan restores the per-experiment leaf scan choice.
 func ClearDefaultLeafScan() { defaultLeafScan.Store(0) }
@@ -246,15 +236,6 @@ func SetDefaultShardTransport(t shard.Transport) {
 	}
 	defaultShardTransport.Store(&transportBox{t: t})
 }
-
-// defaultBatchExpand, when true, turns on Options.BatchExpand (batched
-// heap dequeues in the sequential HEAP algorithm) for every RunCore call:
-// cpqbench -batch-expand plumbs through here.
-var defaultBatchExpand atomic.Bool
-
-// SetDefaultBatchExpand toggles batched heap dequeues for experiments run
-// afterwards.
-func SetDefaultBatchExpand(on bool) { defaultBatchExpand.Store(on) }
 
 // defaultNodeCache is the decoded-node cache capacity (nodes per tree)
 // Lab.Tree and buildParallelTree attach to freshly built trees; 0 (the
@@ -360,10 +341,6 @@ func init() {
 		SetDefaultLeafScan(core.LeafScanBrute)
 	case "sweep":
 		SetDefaultLeafScan(core.LeafScanSweep)
-	case "grid":
-		SetDefaultLeafScan(core.LeafScanGrid)
-	case "auto":
-		SetDefaultLeafScanAuto()
 	}
 	if v := os.Getenv("CPQ_NODECACHE"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
@@ -384,8 +361,6 @@ type Totals struct {
 	Accesses        int64   `json:"accesses"`
 	NodePairs       int64   `json:"node_pairs"`
 	PointPairs      int64   `json:"point_pairs"`
-	GridCellsProbed int64   `json:"grid_cells_probed"`
-	GridRebuckets   int64   `json:"grid_rebuckets"`
 	HeapBatches     int64   `json:"heap_batches"`
 	HeapBatchPairs  int64   `json:"heap_batch_pairs"`
 	NodeCacheHits   int64   `json:"node_cache_hits"`
@@ -394,7 +369,7 @@ type Totals struct {
 }
 
 var totQueries, totAccesses, totNodePairs, totPointPairs atomic.Int64
-var totGridProbes, totGridRebuckets, totHeapBatches, totHeapBatchPairs atomic.Int64
+var totHeapBatches, totHeapBatchPairs atomic.Int64
 var totCacheHits, totCacheMisses atomic.Int64
 
 // ResetTotals zeroes the aggregate counters.
@@ -403,8 +378,6 @@ func ResetTotals() {
 	totAccesses.Store(0)
 	totNodePairs.Store(0)
 	totPointPairs.Store(0)
-	totGridProbes.Store(0)
-	totGridRebuckets.Store(0)
 	totHeapBatches.Store(0)
 	totHeapBatchPairs.Store(0)
 	totCacheHits.Store(0)
@@ -418,8 +391,6 @@ func CurrentTotals() Totals {
 		Accesses:        totAccesses.Load(),
 		NodePairs:       totNodePairs.Load(),
 		PointPairs:      totPointPairs.Load(),
-		GridCellsProbed: totGridProbes.Load(),
-		GridRebuckets:   totGridRebuckets.Load(),
 		HeapBatches:     totHeapBatches.Load(),
 		HeapBatchPairs:  totHeapBatchPairs.Load(),
 		NodeCacheHits:   totCacheHits.Load(),
@@ -438,16 +409,8 @@ func RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages int) (cor
 	if opts.Parallelism == 0 {
 		opts.Parallelism = int(defaultParallelism.Load())
 	}
-	switch l := defaultLeafScan.Load(); {
-	case l > 0:
+	if l := defaultLeafScan.Load(); l > 0 {
 		opts.LeafScan = core.LeafScan(l - 1)
-	case l == leafScanAuto:
-		if ls, _, err := core.AdviseLeafScan(ta, tb, k); err == nil {
-			opts.LeafScan = ls
-		}
-	}
-	if defaultBatchExpand.Load() {
-		opts.BatchExpand = true
 	}
 	if opts.Tracer == nil {
 		if b := defaultTracer.Load(); b != nil {
@@ -477,8 +440,6 @@ func RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages int) (cor
 		totAccesses.Add(stats.Accesses())
 		totNodePairs.Add(stats.NodePairsProcessed)
 		totPointPairs.Add(stats.PointPairsCompared)
-		totGridProbes.Add(stats.GridCellsProbed)
-		totGridRebuckets.Add(stats.GridRebuckets)
 		totHeapBatches.Add(stats.HeapBatches)
 		totHeapBatchPairs.Add(stats.HeapBatchPairs)
 		totCacheHits.Add(stats.NodeCacheHits)

@@ -6,8 +6,8 @@ import "context"
 // context. It must be a power of two: the gate tests a mask, which costs
 // one increment and one branch per step — cheap enough that the hot loops
 // (heap pops, recursive expansions, best-first dequeues) stay within noise
-// of the context-free PR6 baseline (the "ctxflow" benchmark experiment
-// gates this at <= 1%). 1024 steps bound the cancellation latency to a few
+// of a context-free traversal (the "ctxflow" benchmark experiment gates
+// this at <= 1%). 1024 steps bound the cancellation latency to a few
 // node reads' worth of work, far below human-visible deadlines.
 const cancelStride = 1024
 

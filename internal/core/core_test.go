@@ -224,6 +224,13 @@ func TestEdgeCases(t *testing.T) {
 	if _, _, err := KClosestPairs(ta, ta, 1, bad); err == nil {
 		t.Error("invalid algorithm must be rejected")
 	}
+	// LeafScan(2) was the retired grid scan: it must be rejected, not run
+	// as the default sweep.
+	bad = DefaultOptions(Heap)
+	bad.LeafScan = LeafScan(2)
+	if _, _, err := KClosestPairs(ta, ta, 1, bad); err == nil {
+		t.Error("retired leaf scan value 2 must be rejected")
+	}
 }
 
 func TestSinglePointTrees(t *testing.T) {

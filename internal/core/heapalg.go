@@ -62,7 +62,9 @@ func (h *pairHeap) siftDown(i int) {
 
 // popBatch pops pairs in ascending order while the top pair's key does not
 // exceed limit, up to max pairs, appending them to dst. The caller
-// guarantees the initial top qualifies, so a batch is never empty.
+// guarantees the initial top qualifies, so a batch is never empty. Only
+// the parallel engine's take() dequeues in batches; the sequential driver
+// pops one pair at a time in strict best-first order.
 func (h *pairHeap) popBatch(dst []nodePair, max int, limit float64) []nodePair {
 	for len(dst) < max && len(h.pairs) > 0 && h.pairs[0].minminSq <= limit {
 		dst = append(dst, h.pop())
@@ -70,34 +72,18 @@ func (h *pairHeap) popBatch(dst []nodePair, max int, limit float64) []nodePair {
 	return dst
 }
 
-// heapBatchSlack and heapBatchCap shape the batched dequeue
-// (Options.BatchExpand): one heap operation claims every pair whose key is
-// within a 1/16 relative band of the current minimum, at most heapBatchCap
-// of them. The band keeps the processing order near best-first; the cap
-// bounds how far a stale batch can run ahead of a tightening T.
-const (
-	heapBatchSlack = 1 + 1.0/16
-	heapBatchCap   = 16
-)
-
 // runHeap drives the iterative Heap algorithm from the given root pair:
 // pop the pair with the smallest MINMINDIST, stop as soon as it exceeds T
 // (everything still queued is at least as far), otherwise process it and
-// enqueue its surviving sub-pairs. With Options.BatchExpand the pop
-// dequeues a batch of near-minimal pairs per heap operation; every batch
-// member is still re-checked against T before processing, so the result
-// set is unchanged (only the processing order, and with it the disk access
-// count, may deviate slightly from strict best-first).
+// enqueue its surviving sub-pairs.
 //
-// Cancellation: the stride-gated poll runs once per dequeued pair, so a
-// cancelled context unwinds within cancelStride pairs regardless of
-// batching.
+// Cancellation: the stride-gated poll runs once per dequeued pair.
 func (j *join) runHeap(ctx context.Context, root nodePair) error {
 	h := &pairHeap{}
 	if root.minminSq <= j.T() {
 		h.push(root)
 	}
-	var batch, subs []nodePair // reused across iterations; push copies
+	var subs []nodePair // reused across iterations; push copies
 	for h.Len() > 0 {
 		if j.stats.observeQueueLen(h.Len()) {
 			j.traceHighWater(h.Len())
@@ -106,43 +92,22 @@ func (j *join) runHeap(ctx context.Context, root nodePair) error {
 			// CP5: the heap is ordered, so no queued pair can qualify.
 			break
 		}
-		if j.opts.BatchExpand {
-			limit := h.pairs[0].minminSq * heapBatchSlack
-			if t := j.T(); limit > t {
-				limit = t
-			}
-			batch = h.popBatch(batch[:0], heapBatchCap, limit)
-			j.stats.heapBatches.Add(1)
-			j.stats.heapBatchPairs.Add(int64(len(batch)))
-			j.traceHeapBatch(len(batch))
-		} else {
-			batch = append(batch[:0], h.pop())
+		p := h.pop()
+		if err := j.cancel.poll(ctx); err != nil {
+			return err
 		}
-		for _, p := range batch {
-			// The poll sits in the per-pair loop (not only the outer heap
-			// loop) so cancellation latency is bounded in pairs processed,
-			// not in batches; the stride gate keeps it off the hot path.
-			if err := j.cancel.poll(ctx); err != nil {
-				return err
-			}
-			if p.minminSq > j.T() {
-				// T tightened while the batch was in flight; later batch
-				// members may still qualify, so skip rather than break.
-				continue
-			}
-			na, nb, err := j.readPair(p)
-			if err != nil {
-				return err
-			}
-			if na.IsLeaf() && nb.IsLeaf() {
-				j.scanLeaves(na, nb)
-				j.traceBound(obs.SourceKHeap)
-				continue
-			}
-			subs = j.expandInto(p, na, nb, subs[:0]) // also tightens T
-			for _, sp := range subs {
-				h.push(sp)
-			}
+		na, nb, err := j.readPair(p)
+		if err != nil {
+			return err
+		}
+		if na.IsLeaf() && nb.IsLeaf() {
+			j.scanLeaves(na, nb)
+			j.traceBound(obs.SourceKHeap)
+			continue
+		}
+		subs = j.expandInto(p, na, nb, subs[:0]) // also tightens T
+		for _, sp := range subs {
+			h.push(sp)
 		}
 	}
 	return nil

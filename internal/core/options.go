@@ -139,7 +139,8 @@ func (h HeightStrategy) String() string {
 
 // LeafScan selects how a pair of leaves is scanned for candidate point
 // pairs (step CP3). The plane-sweep scan is the default; the brute scan is
-// kept selectable for A/B comparisons (EXPERIMENTS.md, "leaf-scan A/B").
+// the paper's CP3, kept selectable as the oracle and for A/B comparisons
+// (EXPERIMENTS.md, "leaf-scan A/B").
 type LeafScan int
 
 const (
@@ -152,19 +153,11 @@ const (
 	// LeafScanBrute evaluates all n*m entry pairs of the two leaves — the
 	// paper's original formulation of CP3.
 	LeafScanBrute
-	// LeafScanGrid hashes one leaf's points into a uniform grid whose cell
-	// side tracks the current pruning bound δ (re-bucketing when δ shrinks
-	// past a hysteresis factor) and probes at most the 3×3 neighborhood of
-	// each point of the other leaf, so only pairs that can possibly be
-	// within δ are evaluated. It produces the same result set as the other
-	// scans and falls back to the plane sweep when no finite bound is
-	// available yet or the leaves hold non-point entries (see grid.go).
-	LeafScanGrid
 )
 
 // LeafScans lists the leaf scanning strategies.
 func LeafScans() []LeafScan {
-	return []LeafScan{LeafScanSweep, LeafScanBrute, LeafScanGrid}
+	return []LeafScan{LeafScanSweep, LeafScanBrute}
 }
 
 // String implements fmt.Stringer.
@@ -174,46 +167,8 @@ func (l LeafScan) String() string {
 		return "sweep"
 	case LeafScanBrute:
 		return "brute"
-	case LeafScanGrid:
-		return "grid"
 	default:
 		return fmt.Sprintf("LeafScan(%d)", int(l))
-	}
-}
-
-// ExpandStrategy selects how a node pair's candidate sub-pairs and their
-// MBR metrics are computed during expansion.
-type ExpandStrategy int
-
-const (
-	// ExpandBatched copies the child MBRs into flat scratch arrays
-	// (structure-of-arrays layout) and computes all pairwise MINMINDIST
-	// values in one tight loop, materialising only the sub-pairs that
-	// survive the pruning bound (kernel.go). It produces exactly the same
-	// sub-pairs, bounds and counters as ExpandLegacy and is the default
-	// (zero value).
-	ExpandBatched ExpandStrategy = iota
-	// ExpandLegacy computes per-entry metrics through the generic rect
-	// calls, materialising every candidate sub-pair before filtering. Kept
-	// selectable for A/B comparisons (EXPERIMENTS.md, "expansion kernel
-	// A/B").
-	ExpandLegacy
-)
-
-// ExpandStrategies lists the expansion strategies.
-func ExpandStrategies() []ExpandStrategy {
-	return []ExpandStrategy{ExpandBatched, ExpandLegacy}
-}
-
-// String implements fmt.Stringer.
-func (e ExpandStrategy) String() string {
-	switch e {
-	case ExpandBatched:
-		return "batched"
-	case ExpandLegacy:
-		return "legacy"
-	default:
-		return fmt.Sprintf("ExpandStrategy(%d)", int(e))
 	}
 }
 
@@ -262,23 +217,10 @@ type Options struct {
 	// KPrune selects the K > 1 pruning rule (default KPruneMaxMax).
 	KPrune KPruning
 	// LeafScan selects the leaf-pair scanning strategy (default
-	// LeafScanSweep). All strategies produce the same result set; they
+	// LeafScanSweep). Both strategies produce the same result set; they
 	// differ only in how many point pairs are evaluated
 	// (Stats.PointPairsCompared).
 	LeafScan LeafScan
-	// Expand selects the expansion kernel (default ExpandBatched). Both
-	// strategies produce identical sub-pairs, bounds and counters; the
-	// batched kernel just computes them faster.
-	Expand ExpandStrategy
-	// BatchExpand, when true, lets the sequential HEAP algorithm dequeue
-	// node-pair batches (all pairs within a small factor of the current
-	// minimum MINMINDIST key, capped) per heap operation, amortising
-	// sift-down traffic. Results are identical — every dequeued pair is
-	// still checked against T — but the processing order deviates slightly
-	// from strict best-first, so disk access counts may differ from the
-	// paper's sequential algorithm; it therefore defaults to off. The
-	// parallel engine always consumes batches.
-	BatchExpand bool
 	// Metric is the Minkowski distance metric (default Euclidean). The
 	// paper's methods adapt to any Minkowski metric (Section 2.1); all
 	// MBR bounds (MINMINDIST, MINMAXDIST, MAXMAXDIST) are computed under
@@ -369,14 +311,9 @@ func (o Options) validate() error {
 		return fmt.Errorf("core: unknown K pruning rule %d", int(o.KPrune))
 	}
 	switch o.LeafScan {
-	case LeafScanSweep, LeafScanBrute, LeafScanGrid:
+	case LeafScanSweep, LeafScanBrute:
 	default:
 		return fmt.Errorf("core: unknown leaf scan strategy %d", int(o.LeafScan))
-	}
-	switch o.Expand {
-	case ExpandBatched, ExpandLegacy:
-	default:
-		return fmt.Errorf("core: unknown expand strategy %d", int(o.Expand))
 	}
 	if o.Parallelism < AutoParallelism {
 		return fmt.Errorf("core: invalid parallelism %d", o.Parallelism)

@@ -65,7 +65,9 @@ func TestSweepBruteEquivalence(t *testing.T) {
 }
 
 // TestSweepParallelEquivalence runs the sweep under the parallel HEAP
-// engine: same distances as the sequential brute scan.
+// engine: same distances as the sequential brute scan. It also checks the
+// heap-batch counters: the sequential driver pops one pair at a time and
+// reports none, the parallel take() reports every batch it claimed.
 func TestSweepParallelEquivalence(t *testing.T) {
 	ps := dataset.Uniform(21, 900)
 	qs := shiftPoints(dataset.Uniform(22, 800), 0)
@@ -74,15 +76,23 @@ func TestSweepParallelEquivalence(t *testing.T) {
 	for _, k := range []int{1, 25, 100} {
 		opts := DefaultOptions(Heap)
 		opts.LeafScan = LeafScanBrute
-		want, _, err := KClosestPairs(ta, tb, k, opts)
+		want, seqStats, err := KClosestPairs(ta, tb, k, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if seqStats.HeapBatches != 0 || seqStats.HeapBatchPairs != 0 {
+			t.Fatalf("k=%d: sequential HEAP reported %d heap batches (%d pairs), want 0",
+				k, seqStats.HeapBatches, seqStats.HeapBatchPairs)
+		}
 		opts.LeafScan = LeafScanSweep
 		opts.Parallelism = 4
-		got, _, err := KClosestPairs(ta, tb, k, opts)
+		got, parStats, err := KClosestPairs(ta, tb, k, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if parStats.HeapBatches <= 0 || parStats.HeapBatchPairs < parStats.HeapBatches {
+			t.Fatalf("k=%d: implausible parallel heap batch counters: %d batches, %d pairs",
+				k, parStats.HeapBatches, parStats.HeapBatchPairs)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: got %d pairs, want %d", k, len(got), len(want))

@@ -7,10 +7,10 @@ import "fmt"
 // inputs that produced it. Field order is fixed (struct, no maps) so the
 // canonical JSON encoding is byte-stable across runs.
 type Decision struct {
-	// Subject names what was decided ("leaf_scan", "shards").
+	// Subject names what was decided ("shards").
 	Subject string `json:"subject"`
-	// Choice is the recommendation's engine-facing name ("sweep", "grid",
-	// "brute", or a tile count rendered in decimal).
+	// Choice is the recommendation's engine-facing name (a tile count
+	// rendered in decimal).
 	Choice string `json:"choice"`
 	// Reason is the model's one-line justification.
 	Reason string `json:"reason"`
@@ -35,16 +35,6 @@ func (p Params) decision(subject, choice, reason string) Decision {
 		K:       p.K,
 		Fanout:  p.fanout(),
 	}
-}
-
-// RecommendLeafScanDecision is RecommendLeafScan with the full decision
-// record for EXPLAIN output.
-func RecommendLeafScanDecision(p Params) (LeafScanChoice, Decision, error) {
-	c, reason, err := RecommendLeafScan(p)
-	if err != nil {
-		return c, Decision{}, err
-	}
-	return c, p.decision("leaf_scan", c.String(), reason), nil
 }
 
 // RecommendShardsDecision is RecommendShards with the full decision record

@@ -53,13 +53,11 @@ type Plan struct {
 	K int `json:"k"`
 	// Workers is the resolved parallel worker count (1 = sequential).
 	Workers int `json:"workers"`
-	// LeafScan and Expand are the chosen leaf-scan and expansion kernel
-	// names (core option Stringers).
+	// LeafScan is the chosen leaf-scan name (core.LeafScan's Stringer).
 	LeafScan string `json:"leaf_scan"`
-	Expand   string `json:"expand"`
 	// Decisions are the advisor recommendations that shaped the plan, with
-	// the costmodel inputs that produced them. Empty when the caller set
-	// every knob explicitly.
+	// the costmodel inputs that produced them. Empty when no advisor was
+	// consulted.
 	Decisions []costmodel.Decision `json:"decisions,omitempty"`
 	// Shards is the tile count T of a sharded execution (0 or 1 =
 	// unsharded); Transport names the shard-join transport ("inproc", a

@@ -80,24 +80,11 @@ const (
 // LeafScan selects how leaf pairs are scanned for candidate point pairs.
 type LeafScan = core.LeafScan
 
-// Leaf scanning strategies; the plane-sweep scan is the default, the
-// brute scan reproduces the paper's original all-pairs CP3, and the grid
-// scan hashes leaf points into pruning-distance-sized cells.
+// Leaf scanning strategies; the plane-sweep scan is the default and the
+// brute scan reproduces the paper's original all-pairs CP3.
 const (
 	LeafScanSweep = core.LeafScanSweep
 	LeafScanBrute = core.LeafScanBrute
-	LeafScanGrid  = core.LeafScanGrid
-)
-
-// ExpandStrategy selects how node-pair expansion computes sub-pair
-// metrics.
-type ExpandStrategy = core.ExpandStrategy
-
-// Expansion strategies; the batched flat-array kernel is the default and
-// the legacy per-pair path is kept for A/B comparisons.
-const (
-	ExpandBatched = core.ExpandBatched
-	ExpandLegacy  = core.ExpandLegacy
 )
 
 // KPruning selects the K>1 pruning bound (paper Section 3.8).
@@ -167,36 +154,13 @@ func WithKPruning(k KPruning) QueryOption {
 }
 
 // WithLeafScan selects the leaf-pair scanning strategy (default
-// LeafScanSweep). All strategies produce the same result set; LeafScanBrute
-// evaluates all entry pairs of two leaves (the paper's CP3), LeafScanSweep
-// plane-sweeps them and skips pairs whose x distance already exceeds the
-// pruning bound, and LeafScanGrid hashes one leaf into a uniform grid with
-// cell side equal to the pruning distance and probes only the 3x3
-// neighborhood per point (falling back to the sweep when no finite bound
-// is available yet). The difference shows up in
-// Stats.PointPairsCompared/GridCellsProbed.
+// LeafScanSweep). Both strategies produce the same result set; LeafScanBrute
+// evaluates all entry pairs of two leaves (the paper's CP3), while
+// LeafScanSweep plane-sweeps them and skips pairs whose x distance already
+// exceeds the pruning bound. The difference shows up in
+// Stats.PointPairsCompared.
 func WithLeafScan(l LeafScan) QueryOption {
 	return func(o *queryConfig) { o.core.LeafScan = l }
-}
-
-// WithExpandStrategy selects the node-expansion kernel (default
-// ExpandBatched). Both strategies produce identical sub-pairs, bounds and
-// counters; the batched kernel computes all pairwise MINMINDIST values
-// over flat scratch arrays in one pass and materialises only survivors,
-// while ExpandLegacy keeps the original per-pair path for A/B comparison.
-func WithExpandStrategy(e ExpandStrategy) QueryOption {
-	return func(o *queryConfig) { o.core.Expand = e }
-}
-
-// WithBatchExpand lets the sequential HEAP algorithm dequeue batches of
-// near-minimal node pairs per heap operation, amortising sift traffic.
-// The result set is unchanged (every batch member is re-checked against
-// the pruning bound), but the processing order deviates slightly from
-// strict best-first, so disk access counts may differ from the paper's
-// sequential HEAP; it is therefore off by default. The parallel engine
-// always consumes batches regardless of this option.
-func WithBatchExpand(enabled bool) QueryOption {
-	return func(o *queryConfig) { o.core.BatchExpand = enabled }
 }
 
 // WithMetric selects the distance metric (default Euclidean).
