@@ -33,8 +33,11 @@
 #                      the bare executor or perturbs any counter or
 #                      result distance (writes BENCH_PR10.json)
 #   ./ci.sh obs        the observability gates: the zero-alloc tests on
-#                      the disabled hook paths, the obs registry and
-#                      explain capture under the race detector, a
+#                      the disabled hook paths, the one-report-per-query
+#                      facade test (metrics and slow log agree with the
+#                      returned Stats for every query shape), the obs
+#                      registry and explain capture under the race
+#                      detector, a
 #                      Prometheus-exposition parse smoke test (the fuzz
 #                      target over its seed corpus), and the EXPLAIN
 #                      golden round-trip with its fuzz corpus
@@ -89,9 +92,10 @@ bench() {
 }
 
 # obs gates the observability layer: hooks must stay free when disabled
-# (the AllocsPerRun tests), the registry must be safe under concurrent
-# writers and scrapers (-race), the Prometheus text exposition must
-# parse (the fuzz target replayed over its committed seed corpus), and
+# (the AllocsPerRun tests), every facade query must feed exactly one
+# cost report to its metric set and slow-query log, the registry must be
+# safe under concurrent writers and scrapers (-race), the Prometheus text
+# exposition must parse (the fuzz target replayed over its committed seed corpus), and
 # the EXPLAIN snapshot encoding must stay byte-stable (the golden
 # round-trip and its fuzz corpus).
 obs() {
@@ -101,6 +105,7 @@ obs() {
 	go test -run 'TestCacheTraceDisabledZeroAlloc' ./internal/rtree
 	go test -run 'TestNilCaptureZeroAlloc' ./internal/obs/explain
 	go test -run 'TestShardDisabledHooksZeroAlloc' ./internal/shard
+	go test -run 'TestQueryCostReport' .
 	go test -run 'FuzzMetricsExposition' ./internal/obs
 	go test -run 'TestExplainGoldenRoundTrip|FuzzExplainRoundTrip' ./internal/obs/explain
 }

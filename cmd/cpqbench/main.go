@@ -12,7 +12,6 @@
 //	cpqbench -leafscan brute       # force a leaf scan strategy on every run
 //	cpqbench -nodecache 4096       # attach a decoded-node cache to every tree
 //	cpqbench -shards 8             # run every query sharded over 8 STR tiles
-//	cpqbench -shard-transport inproc  # transport for sharded runs (or CPQ_SHARDS env)
 //	cpqbench -pr4 BENCH_PR4.json   # run the leafscan ablation, write its report
 //	cpqbench -pr9 BENCH_PR9.json   # run the sharding gate, write its report
 //	cpqbench -pr10 BENCH_PR10.json # run the explain-overhead gate, write its report
@@ -42,7 +41,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/shard"
 )
 
 // envTimeout reads the CPQ_TIMEOUT environment knob, the -timeout flag's
@@ -93,7 +91,6 @@ func main() {
 		leafScan   = flag.String("leafscan", "", "force a leaf scan strategy on every run: sweep or brute (default: per-experiment choice)")
 		nodeCache  = flag.Int("nodecache", 0, "decoded-node cache capacity (nodes per tree) attached to experiment trees; 0 = no cache (the paper's exact disk accounting)")
 		shards     = flag.Int("shards", envShards(), "run every query sharded over this many STR tiles (scatter-gather executor); <= 1 = the monolithic join (default from CPQ_SHARDS)")
-		shardTr    = flag.String("shard-transport", "inproc", "transport carrying shard-pair joins of sharded runs (inproc)")
 		pr4        = flag.String("pr4", "", "run the leafscan ablation and write its JSON report to this file")
 		pr9        = flag.String("pr9", "", "run the pr9 sharding gate and write its JSON report to this file")
 		pr10       = flag.String("pr10", "", "run the pr10 explain-overhead gate and write its JSON report to this file")
@@ -140,12 +137,6 @@ func main() {
 	}
 	if *nodeCache > 0 {
 		bench.SetDefaultNodeCache(*nodeCache)
-	}
-	switch *shardTr {
-	case "inproc":
-		bench.SetDefaultShardTransport(shard.InProc{})
-	default:
-		fatal(fmt.Errorf("unknown -shard-transport %q; want inproc", *shardTr))
 	}
 	if *shards > 1 {
 		bench.SetDefaultShards(*shards)

@@ -20,7 +20,7 @@
 //
 // The syntactic checks are bufferdiscipline (no BufferPool.Get/Put on
 // paths reachable from goroutines — concurrent readers must use View),
-// atomicfields (fields touched via sync/atomic must be atomic everywhere),
+// atomicfuncs (no function-style sync/atomic calls; typed atomics only),
 // sqrtfree (no math.Sqrt on pruning/traversal hot paths outside the
 // result-reporting allowlist) and errprop (no discarded errors from the
 // storage / R-tree I/O layers). The path-sensitive checks, which run on

@@ -34,4 +34,14 @@
 // default, the paper's setup) behind an LRU buffer pool whose miss counter
 // is the paper's "disk accesses" metric. Use WithPath to put an index on
 // disk, and OpenIndex to reopen it.
+//
+// # Observability
+//
+// WithMetrics and WithSlowQueryLog consume one cost report per query,
+// built once from the Stats the query returns, whatever its shape:
+// monolithic, parallel or sharded K-CPQ, self, semi or range. A sharded
+// query counts once, not once per shard-pair join. WithExplain (or
+// Explain) attaches an EXPLAIN/ANALYZE capture to the same query path;
+// its snapshot is embedded in the slow-query log line. WithTracer streams
+// typed trace events. Nothing is measured when nothing is attached.
 package cpq

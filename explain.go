@@ -2,17 +2,14 @@ package cpq
 
 import (
 	"context"
-	"runtime"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/explain"
 )
 
 // ExplainReport is one query's EXPLAIN/ANALYZE snapshot: the plan
-// (algorithm, advisor decisions with their costmodel inputs, shard layout,
-// transport) and the execution (phase wall breakdown, per-shard-pair
+// (algorithm, K, workers, leaf scan, shard layout, transport) and the
+// execution (phase wall breakdown, per-shard-pair
 // dispatch decisions, bound-tightening trajectory, span tree, full work
 // counters). Render draws it as a text tree; JSON emits the canonical
 // byte-stable form.
@@ -68,97 +65,4 @@ func ExplainContext(ctx context.Context, p, q *Index, k int, opts ...QueryOption
 		return nil, stats, nil, err
 	}
 	return pairs, stats, c.Snapshot(), nil
-}
-
-// explainKCPQ is the explain-enabled K-CPQ runner: it wires the capture
-// in as the query's tracer (teeing any user tracer), records the plan
-// with the advisor's decisions, routes the query (sharded or not), and
-// feeds the finished snapshot to the slow-query log.
-func explainKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pair, Stats, error) {
-	started := time.Now()
-	cap := cfg.capture
-	cap.SetTee(cfg.core.Tracer)
-	cfg.core.Tracer = cap
-
-	// The slow-query log is recorded here, not in the engine, so the
-	// entry can embed the explain snapshot.
-	slowLog := cfg.core.SlowLog
-	cfg.core.SlowLog = nil
-
-	cap.SetPlan(buildExplainPlan(k, cfg))
-
-	var pairs []Pair
-	var stats Stats
-	var err error
-	if cfg.shards > 1 {
-		pairs, stats, err = shardedKClosestPairs(ctx, p, q, k, cfg)
-	} else {
-		var phaseStart time.Time
-		if cap.Enabled() {
-			phaseStart = time.Now()
-		}
-		pairs, stats, err = core.KClosestPairsContext(ctx, p.tree, q.tree, k, cfg.core)
-		cap.Phase("join", time.Since(phaseStart).Nanoseconds())
-	}
-	seconds := time.Since(started)
-	if err != nil {
-		if slowLog != nil {
-			slowLog.Record(QueryReport{Label: core.QueryLabel(cfg.core, k),
-				Seconds: seconds.Seconds(), Workers: explainWorkers(cfg.core), Err: err.Error()})
-		}
-		return nil, stats, err
-	}
-
-	kth := 0.0
-	if len(pairs) > 0 {
-		kth = pairs[len(pairs)-1].Dist
-	}
-	cap.SetResult(seconds.Nanoseconds(), stats.ExplainStats(), len(pairs), kth)
-
-	if slowLog != nil {
-		r := QueryReport{
-			Label:       core.QueryLabel(cfg.core, k),
-			Seconds:     seconds.Seconds(),
-			Accesses:    stats.Accesses(),
-			NodePairs:   stats.NodePairsProcessed,
-			PointPairs:  stats.PointPairsCompared,
-			CacheHits:   stats.NodeCacheHits,
-			CacheMisses: stats.NodeCacheMisses,
-			Results:     len(pairs),
-			KthDistance: kth,
-			Workers:     explainWorkers(cfg.core),
-		}
-		// Embed the snapshot so an over-threshold line carries the full
-		// plan and execution breakdown of the outlier.
-		if raw, jerr := cap.Snapshot().JSON(); jerr == nil {
-			r.Explain = raw
-		}
-		slowLog.Record(r)
-	}
-	return pairs, stats, nil
-}
-
-// buildExplainPlan renders the query plan from the resolved options. The
-// shard plan (count, transport, tile boundaries) is filled by the sharded
-// runner once the partitioner has built the tiles.
-func buildExplainPlan(k int, cfg queryConfig) explain.Plan {
-	return explain.Plan{
-		Label:     core.QueryLabel(cfg.core, k),
-		Algorithm: cfg.core.Algorithm.String(),
-		K:         k,
-		Workers:   explainWorkers(cfg.core),
-		LeafScan:  cfg.core.LeafScan.String(),
-	}
-}
-
-// explainWorkers resolves the Parallelism knob the way the engine does.
-func explainWorkers(o core.Options) int {
-	switch {
-	case o.Parallelism == core.AutoParallelism:
-		return runtime.GOMAXPROCS(0)
-	case o.Parallelism <= 1:
-		return 1
-	default:
-		return o.Parallelism
-	}
 }

@@ -25,8 +25,15 @@ func WithinDistance(p, q *Index, eps float64, fn func(Pair) bool, opts ...QueryO
 
 // WithinDistanceContext is WithinDistance under a context; see
 // ClosestPairContext for the cancellation contract.
+//
+// Its cost report is labelled "range" and carries no result count: the
+// pairs stream to fn instead of being returned.
 func WithinDistanceContext(ctx context.Context, p, q *Index, eps float64, fn func(Pair) bool, opts ...QueryOption) (Stats, error) {
-	return core.WithinDistanceContext(ctx, p.tree, q.tree, eps, buildOptions(opts), fn)
+	cfg := buildPlainConfig(opts)
+	started := cfg.start()
+	stats, err := core.WithinDistanceContext(ctx, p.tree, q.tree, eps, cfg.core, fn)
+	cfg.report("range", 0, started, nil, stats, err)
+	return stats, err
 }
 
 // Advice is a recommended query plan, per the paper's guidelines.

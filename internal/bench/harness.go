@@ -8,11 +8,11 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"strconv"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -198,11 +198,7 @@ func SetDefaultParallelism(n int) { defaultParallelism.Store(int64(n)) }
 var defaultLeafScan atomic.Int64
 
 // SetDefaultLeafScan forces a leaf scan strategy onto every RunCore call.
-// Pass a negative value to restore the per-experiment default.
 func SetDefaultLeafScan(l core.LeafScan) { defaultLeafScan.Store(int64(l) + 1) }
-
-// ClearDefaultLeafScan restores the per-experiment leaf scan choice.
-func ClearDefaultLeafScan() { defaultLeafScan.Store(0) }
 
 // defaultShards, when above 1, reroutes every RunCore call through the
 // scatter-gather executor of internal/shard with that many spatial
@@ -219,23 +215,6 @@ var defaultShards atomic.Int64
 // sharded executor with t tiles (values <= 1 restore the monolithic
 // join).
 func SetDefaultShards(t int) { defaultShards.Store(int64(t)) }
-
-// defaultShardTransport carries the transport of sharded RunCore calls;
-// nil means in-process. Boxed because atomic.Pointer needs a concrete
-// type.
-type transportBox struct{ t shard.Transport }
-
-var defaultShardTransport atomic.Pointer[transportBox]
-
-// SetDefaultShardTransport selects the transport used by sharded
-// RunCore calls (nil restores the in-process default).
-func SetDefaultShardTransport(t shard.Transport) {
-	if t == nil {
-		defaultShardTransport.Store(nil)
-		return
-	}
-	defaultShardTransport.Store(&transportBox{t: t})
-}
 
 // defaultNodeCache is the decoded-node cache capacity (nodes per tree)
 // Lab.Tree and buildParallelTree attach to freshly built trees; 0 (the
@@ -425,12 +404,22 @@ func RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages int) (cor
 		ec = explain.New(opts.Tracer)
 		opts.Tracer = ec
 	}
+	var started time.Time
+	if opts.Metrics != nil {
+		started = time.Now()
+	}
+	var pairs []core.Pair
 	var stats core.Stats
 	var err error
 	if t := int(defaultShards.Load()); t > 1 {
-		stats, err = runShardedQuery(ta, tb, k, opts, t, ec)
+		var res shard.Result
+		res, err = shard.KClosestPairsContext(defaultCtx(), ta, tb, k, opts, shard.Config{Tiles: t, Capture: ec}, nil)
+		pairs, stats = res.Pairs, res.Stats
 	} else {
-		_, stats, err = core.KClosestPairsContext(defaultCtx(), ta, tb, k, opts)
+		pairs, stats, err = core.KClosestPairsContext(defaultCtx(), ta, tb, k, opts)
+	}
+	if opts.Metrics != nil {
+		opts.Metrics.Record(core.NewQueryReport(core.QueryLabel(opts, k), opts, pairs, stats, time.Since(started), err))
 	}
 	if ec != nil {
 		lastExplain.Store(ec.Snapshot())
@@ -446,52 +435,6 @@ func RunCore(ta, tb *rtree.Tree, k int, opts core.Options, bufferPages int) (cor
 		totCacheMisses.Add(stats.NodeCacheMisses)
 	}
 	return stats, err
-}
-
-// runShardedQuery executes one RunCore query through the scatter-gather
-// executor: drain both trees, partition into tiles (the shard trees
-// inherit the left tree's geometry), join the tile pairs under the
-// broadcast bound. The I/O counters come from the shard pools.
-func runShardedQuery(ta, tb *rtree.Tree, k int, opts core.Options, tiles int, ec *explain.Capture) (core.Stats, error) {
-	ctx := defaultCtx()
-	itemsA, err := drainItems(ta)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	itemsB, err := drainItems(tb)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	set, err := shard.PartitionContext(ctx, itemsA, itemsB, shard.Config{Tiles: tiles, Tree: ta.Config(), Capture: ec})
-	if err != nil {
-		return core.Stats{}, err
-	}
-	ex := shard.Executor{Set: set, Capture: ec}
-	if b := defaultShardTransport.Load(); b != nil {
-		ex.Transport = b.t
-	}
-	if ec != nil {
-		tr := ex.Transport
-		if tr == nil {
-			tr = shard.InProc{}
-		}
-		ec.SetPlanShards(tiles, tr.String(), set.TileBounds())
-	}
-	res, err := ex.RunContext(ctx, k, opts)
-	if err != nil {
-		return core.Stats{}, errors.Join(err, set.Close())
-	}
-	return res.Stats, set.Close()
-}
-
-// drainItems reads every item of a tree for re-partitioning.
-func drainItems(t *rtree.Tree) ([]rtree.Item, error) {
-	out := make([]rtree.Item, 0, t.Len())
-	err := t.All(func(it rtree.Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out, err
 }
 
 // RunIncremental executes one K-bounded incremental distance join under

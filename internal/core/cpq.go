@@ -45,20 +45,8 @@ func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts O
 		return nil, Stats{}, ErrEmptyInput
 	}
 
-	// Observability setup: the label and start time are only computed when
-	// a consumer is attached, so the default query path takes no
-	// timestamps and formats nothing.
-	measure := opts.Metrics != nil || opts.SlowLog != nil
-	var label string
-	if opts.Tracer != nil || measure {
-		label = QueryLabel(opts, k)
-	}
 	if opts.Tracer != nil {
-		j.span = obs.StartSpanFrom(opts.Tracer, opts.Trace, label)
-	}
-	var started time.Time
-	if measure {
-		started = time.Now()
+		j.span = obs.StartSpanFrom(opts.Tracer, opts.Trace, QueryLabel(opts, k))
 	}
 
 	startA := ta.Pool().Stats()
@@ -72,8 +60,8 @@ func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts O
 	}
 	if err == nil {
 		switch {
-		case opts.Algorithm == Heap && opts.workers() > 1:
-			err = j.runHeapParallel(ctx, root, opts.workers())
+		case opts.Algorithm == Heap && opts.Workers() > 1:
+			err = j.runHeapParallel(ctx, root, opts.Workers())
 		case opts.Algorithm == Heap:
 			err = j.runHeap(ctx, root)
 		default:
@@ -82,12 +70,6 @@ func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts O
 	}
 	if err != nil {
 		j.traceQueryEnd(0, err)
-		if measure {
-			r := obs.QueryReport{Label: label, Seconds: time.Since(started).Seconds(),
-				Workers: opts.workers(), Err: err.Error()}
-			opts.Metrics.Record(r)
-			opts.SlowLog.Record(r)
-		}
 		return nil, Stats{}, err
 	}
 
@@ -105,35 +87,40 @@ func KClosestPairsContext(ctx context.Context, ta, tb *rtree.Tree, k int, opts O
 	}
 	pairs := j.results()
 	j.traceQueryEnd(len(pairs), nil)
-	if measure {
-		r := obs.QueryReport{
-			Label:       label,
-			Seconds:     time.Since(started).Seconds(),
-			Accesses:    stats.Accesses(),
-			NodePairs:   stats.NodePairsProcessed,
-			PointPairs:  stats.PointPairsCompared,
-			CacheHits:   stats.NodeCacheHits,
-			CacheMisses: stats.NodeCacheMisses,
-			Results:     len(pairs),
-			Workers:     opts.workers(),
-		}
-		if len(pairs) > 0 {
-			r.KthDistance = pairs[len(pairs)-1].Dist
-		}
-		opts.Metrics.Record(r)
-		opts.SlowLog.Record(r)
-	}
 	return pairs, stats, nil
 }
 
 // QueryLabel renders the query description used as the span label and the
-// metrics/slow-log aggregation key. Exported so the facade's explain path
-// labels its plan exactly like the engine labels its span.
+// metrics/slow-log aggregation key. Exported so the facade labels its
+// explain plan and cost report exactly like the engine labels its span.
 func QueryLabel(opts Options, k int) string {
-	if w := opts.workers(); w > 1 {
+	if w := opts.Workers(); w > 1 {
 		return fmt.Sprintf("%s k=%d par=%d", opts.Algorithm, k, w)
 	}
 	return fmt.Sprintf("%s k=%d", opts.Algorithm, k)
+}
+
+// NewQueryReport builds the one per-query cost report that every consumer
+// reads: the metric set, the slow-query log and the explain result. pairs
+// are the returned results in ascending distance order (the last one is
+// the K-th distance); err, when non-nil, makes it an error report that
+// carries no counters.
+func NewQueryReport(label string, opts Options, pairs []Pair, stats Stats, elapsed time.Duration, err error) obs.QueryReport {
+	r := obs.QueryReport{Label: label, Seconds: elapsed.Seconds(), Workers: opts.Workers()}
+	if err != nil {
+		r.Err = err.Error()
+		return r
+	}
+	r.Accesses = stats.Accesses()
+	r.NodePairs = stats.NodePairsProcessed
+	r.PointPairs = stats.PointPairsCompared
+	r.CacheHits = stats.NodeCacheHits
+	r.CacheMisses = stats.NodeCacheMisses
+	r.Results = len(pairs)
+	if len(pairs) > 0 {
+		r.KthDistance = pairs[len(pairs)-1].Dist
+	}
+	return r
 }
 
 // ClosestPair finds the single closest pair (the 1-CPQ of Section 2.1),

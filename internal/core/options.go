@@ -232,13 +232,13 @@ type Options struct {
 	// tracing entirely: every emission site sits behind one nil check and
 	// allocates nothing.
 	Tracer obs.Tracer
-	// Metrics, when non-nil, receives one cost record per completed query
-	// (latency, accesses, K-th distance, cache counters). Recording
-	// happens at query completion only, never inside the traversal.
+	// Metrics, when non-nil, receives what only the engine can measure:
+	// one worker-utilization sample per parallel HEAP query and the shard
+	// executor's per-shard series. The per-query cost report (latency,
+	// accesses, K-th distance) is built by the caller from the returned
+	// Stats (NewQueryReport) and recorded there, never inside the
+	// traversal.
 	Metrics *obs.EngineMetrics
-	// SlowLog, when non-nil, aggregates per-query cost reports and writes
-	// queries slower than its threshold as JSON lines.
-	SlowLog *obs.SlowQueryLog
 	// SharedBound, when non-nil, couples this query to other in-flight
 	// joins through an external tighten-only pruning bound (the shard
 	// executor's broadcast bound, DESIGN.md §13). The join prunes against
@@ -271,8 +271,8 @@ type Options struct {
 // algorithm.
 const AutoParallelism = -1
 
-// workers resolves the Parallelism knob to a concrete worker count.
-func (o Options) workers() int {
+// Workers resolves the Parallelism knob to a concrete worker count.
+func (o Options) Workers() int {
 	switch {
 	case o.Parallelism == AutoParallelism:
 		return runtime.GOMAXPROCS(0)

@@ -134,54 +134,6 @@ func axisProb(d, c float64) float64 {
 	return math.Min(1, sum/steps)
 }
 
-// RecommendShards picks a tile count T for the scatter-gather executor
-// (internal/shard), with the reasoning. workers is the number of
-// shard-pair joins that can run concurrently (values below 1 mean 1).
-//
-// The model weighs two forces:
-//
-//   - Scatter width: with aligned quantile tiles and a pruning distance
-//     d_K far below a tile side, only the near-diagonal shard pairs
-//     survive tile-level MINMINDIST pruning, so useful concurrency
-//     grows with T roughly linearly while planning cost grows as T².
-//     A modest multiple of the worker count keeps every worker busy
-//     through the uneven tail without a quadratic plan.
-//   - Shard depth: a shard holding fewer than ~f² points of a set
-//     builds a 1–2 level R-tree, and a traversal that shallow has no
-//     internal levels left to prune — the per-shard join degrades
-//     toward a leaf-product scan. T is capped so both sides keep at
-//     least f² expected points per shard (3+ levels).
-func RecommendShards(p Params, workers int) (int, string, error) {
-	if err := p.validate(); err != nil {
-		return 1, "", err
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	f := p.fanout()
-	nMin := p.NA
-	if p.NB < nMin {
-		nMin = p.NB
-	}
-	depthCap := int(float64(nMin) / (f * f))
-	if depthCap < 2 {
-		return 1, fmt.Sprintf(
-			"smaller set holds %d points, under 2*f^2=%.0f: tiles would flatten the shard trees below 3 levels, leaving nothing to prune", nMin, 2*f*f), nil
-	}
-	t := 2 * workers
-	reason := fmt.Sprintf("2x the %d concurrent joins keeps workers busy through the uneven tail", workers)
-	if t > depthCap {
-		t = depthCap
-		reason = fmt.Sprintf("capped by shard depth: %d points per side / f^2=%.0f keeps every shard tree at 3+ levels", nMin, f*f)
-	}
-	const maxTiles = 64
-	if t > maxTiles {
-		t = maxTiles
-		reason = fmt.Sprintf("capped at %d tiles: planning cost grows with T^2 and wider scatter adds no concurrency", maxTiles)
-	}
-	return t, reason, nil
-}
-
 // Prediction reports the model's outputs.
 type Prediction struct {
 	// Accesses is the predicted number of page reads (B = 0).

@@ -180,38 +180,3 @@ func TestPredictionAccuracy(t *testing.T) {
 		}
 	}
 }
-
-func TestRecommendShards(t *testing.T) {
-	// Large balanced workload: scatter width rules, 2x workers.
-	n, reason, err := RecommendShards(Params{NA: 100000, NB: 100000, Overlap: 1, K: 10}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 8 {
-		t.Fatalf("large workload: want 8 tiles, got %d (%s)", n, reason)
-	}
-	// Tiny set: one tile, depth argument.
-	n, _, err = RecommendShards(Params{NA: 100000, NB: 300, Overlap: 1, K: 10}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("tiny set: want 1 tile, got %d", n)
-	}
-	// Depth cap binds between the extremes.
-	n, reason, err = RecommendShards(Params{NA: 2000, NB: 2000, Overlap: 1, K: 10}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 2 || n >= 32 {
-		t.Fatalf("mid workload: want depth-capped tiles in [2, 32), got %d (%s)", n, reason)
-	}
-	// Worker count floors at 1 and the advisor still answers.
-	if _, _, err := RecommendShards(Params{NA: 100000, NB: 100000, Overlap: 1, K: 1}, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Invalid params propagate.
-	if _, _, err := RecommendShards(Params{NA: 0, NB: 1, Overlap: 1, K: 1}, 4); err == nil {
-		t.Fatal("want validation error")
-	}
-}

@@ -7,9 +7,10 @@
 //   - bufferdiscipline: code reachable from a goroutine must read pages
 //     through BufferPool.View, never Get/Put — Get hands out the pooled
 //     slice, which a concurrent eviction may reuse under the reader.
-//   - atomicfields: a struct field accessed through sync/atomic anywhere
-//     must be accessed atomically everywhere, and fields of sync/atomic
-//     types must only be touched through their methods.
+//   - atomicfuncs: no function-style sync/atomic calls (atomic.AddInt64
+//     and kin) outside tests; shared counters and pointers use the typed
+//     atomics, whose methods are the only way in (go vet's copylocks
+//     catches a copied value).
 //   - sqrtfree: the pruning and traversal hot paths compare squared
 //     distances; math.Sqrt is reserved for the final result-reporting
 //     functions (MINMINDIST <= MINMAXDIST <= MAXMAXDIST ordering is
@@ -117,7 +118,7 @@ type Check interface {
 func Checks() []Check {
 	return []Check{
 		NewBufferDiscipline(),
-		NewAtomicFields(),
+		NewAtomicFuncs(),
 		NewSqrtFree(),
 		NewErrProp(),
 		NewPinLeak(),

@@ -46,7 +46,7 @@ func TestGolden(t *testing.T) {
 		patterns []string
 	}{
 		{lint.NewBufferDiscipline(), []string{"internal/lint/testdata/src/bufferdiscipline/..."}},
-		{lint.NewAtomicFields(), []string{"internal/lint/testdata/src/atomicfields"}},
+		{lint.NewAtomicFuncs(), []string{"internal/lint/testdata/src/atomicfuncs"}},
 		{lint.NewSqrtFree(), []string{"internal/lint/testdata/src/sqrtfree/..."}},
 		{lint.NewErrProp(), []string{"internal/lint/testdata/src/errprop/..."}},
 		{lint.NewPinLeak(), []string{"internal/lint/testdata/src/pinleak"}},
@@ -95,7 +95,7 @@ func TestFixturesFindSomething(t *testing.T) {
 		patterns []string
 	}{
 		{lint.NewBufferDiscipline(), []string{"internal/lint/testdata/src/bufferdiscipline/..."}},
-		{lint.NewAtomicFields(), []string{"internal/lint/testdata/src/atomicfields"}},
+		{lint.NewAtomicFuncs(), []string{"internal/lint/testdata/src/atomicfuncs"}},
 		{lint.NewSqrtFree(), []string{"internal/lint/testdata/src/sqrtfree/..."}},
 		{lint.NewErrProp(), []string{"internal/lint/testdata/src/errprop/..."}},
 		{lint.NewPinLeak(), []string{"internal/lint/testdata/src/pinleak"}},

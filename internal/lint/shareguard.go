@@ -102,7 +102,7 @@ type sgFacts struct {
 	// entryHeld is the union of caller-held locksets per callgraph node.
 	entryHeld map[any]map[*types.Var]bool
 	// atomicUse marks fields whose address reaches a sync/atomic call
-	// somewhere (the atomicfields check owns their consistency).
+	// somewhere (the atomicfuncs check bans that API outside tests).
 	atomicUse map[*types.Var]bool
 	// guardedBy maps an annotated field to its declared lock field.
 	guardedBy map[*types.Var]*types.Var
@@ -183,7 +183,7 @@ func shareguardFacts(prog *Program, scopes []string) *sgFacts {
 }
 
 // collectAtomicUse gathers the fields whose address flows into a
-// sync/atomic call, mirroring the atomicfields check's first pass.
+// function-style sync/atomic call (banned outside tests by atomicfuncs).
 func (f *sgFacts) collectAtomicUse() {
 	for _, pkg := range f.prog.Packages {
 		info := pkg.Info
@@ -828,7 +828,7 @@ func (f *sgFacts) sharedAccesses(field *types.Var) []*sgAccess {
 }
 
 // exempt reports whether a field opts out of lock discipline: it is
-// accessed through sync/atomic (atomicfields owns consistency), has an
+// accessed through sync/atomic (atomicfuncs owns that API), has an
 // intrinsically atomic type, is itself a synchronization primitive, or
 // is a channel.
 func (f *sgFacts) exempt(field *types.Var) bool {
@@ -876,4 +876,82 @@ func (f *sgFacts) spawnSite(node any) string {
 // lockName renders a lock variable for messages.
 func lockName(v *types.Var) string {
 	return fieldName(v)
+}
+
+// addressedField resolves an argument expression of the form &x.f to the
+// field object f, or nil.
+func addressedField(info *types.Info, arg ast.Expr) *types.Var {
+	unary, ok := ast.Unparen(arg).(*ast.UnaryExpr)
+	if !ok || unary.Op != token.AND {
+		return nil
+	}
+	sel, ok := ast.Unparen(unary.X).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	selection, ok := info.Selections[sel]
+	if !ok || selection.Kind() != types.FieldVal {
+		return nil
+	}
+	field, _ := selection.Obj().(*types.Var)
+	return field
+}
+
+// isAtomicType reports whether t is a sync/atomic type or a composite that
+// contains one (recursively through named types, structs and arrays).
+func isAtomicType(t types.Type, memo map[types.Type]bool) bool {
+	if v, ok := memo[t]; ok {
+		return v
+	}
+	memo[t] = false // cycle guard
+	result := false
+	switch u := t.(type) {
+	case *types.Named:
+		if pkg := u.Obj().Pkg(); pkg != nil && pkg.Path() == "sync/atomic" {
+			result = true
+		} else {
+			result = isAtomicType(u.Underlying(), memo)
+		}
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if isAtomicType(u.Field(i).Type(), memo) {
+				result = true
+				break
+			}
+		}
+	case *types.Array:
+		result = isAtomicType(u.Elem(), memo)
+	}
+	memo[t] = result
+	return result
+}
+
+// fieldName renders a field as Struct.field for messages.
+func fieldName(f *types.Var) string {
+	return fmt.Sprintf("%s.%s", ownerName(f), f.Name())
+}
+
+// ownerName finds the name of the struct type declaring field f, falling
+// back to the package name.
+func ownerName(f *types.Var) string {
+	if pkg := f.Pkg(); pkg != nil {
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if st.Field(i) == f {
+					return tn.Name()
+				}
+			}
+		}
+		return pkg.Name()
+	}
+	return "?"
 }

@@ -47,7 +47,7 @@ func (h *safeHub) work() {
 }
 
 // opsHub is a negative case: the counter lives behind sync/atomic, which
-// the atomicfields check owns.
+// the atomicfuncs check owns.
 type opsHub struct {
 	ops  int64
 	done chan struct{}

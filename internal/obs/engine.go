@@ -66,8 +66,8 @@ func NewEngineMetrics(m *Metrics) *EngineMetrics {
 	}
 }
 
-// QueryReport is one finished query's cost summary, fed to EngineMetrics
-// and the slow-query log by the engine.
+// QueryReport is one finished query's cost summary, built once per query
+// by core.NewQueryReport and fed to EngineMetrics and the slow-query log.
 type QueryReport struct {
 	// Label describes the query (algorithm, K), as in the span label.
 	Label string `json:"label"`
@@ -96,8 +96,8 @@ type QueryReport struct {
 	Explain json.RawMessage `json:"explain,omitempty"`
 }
 
-// Record feeds one query report into the metric set. Nil-safe so the
-// engine can call it unconditionally on its (possibly nil) handle.
+// Record feeds one query report into the metric set. Nil-safe so callers
+// can call it unconditionally on their (possibly nil) handle.
 func (em *EngineMetrics) Record(r QueryReport) {
 	if em == nil {
 		return

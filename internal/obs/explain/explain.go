@@ -1,12 +1,12 @@
 // Package explain is the engine's per-query EXPLAIN/ANALYZE subsystem: a
-// Capture that records one query's plan (algorithm, advisor decisions with
-// their costmodel inputs, shard layout, transport) and execution (phase
+// Capture that records one query's plan (algorithm, K, workers, leaf scan,
+// shard layout, transport) and execution (phase
 // wall breakdown, per-shard-pair dispatch decisions, bound-tightening
 // trajectory, span tree, full work counters), and renders the snapshot as
 // a text tree or canonical JSON.
 //
-// The package sits beside the rest of internal/obs: it imports only obs,
-// costmodel and the standard library, so core, shard and the facade can
+// The package sits beside the rest of internal/obs: it imports only obs
+// and the standard library, so core, shard and the facade can
 // all feed it without cycles. A Capture doubles as an obs.Tracer, so one
 // value both collects structured rows from the gather side and rebuilds
 // the span tree from the trace stream — including spans opened on remote
@@ -18,11 +18,7 @@
 // (enforced by the zero-alloc tests and the cpqlint obshooks check).
 package explain
 
-import (
-	"encoding/json"
-
-	"repro/internal/costmodel"
-)
+import "encoding/json"
 
 // Explain is one query's complete EXPLAIN/ANALYZE snapshot.
 //
@@ -55,10 +51,6 @@ type Plan struct {
 	Workers int `json:"workers"`
 	// LeafScan is the chosen leaf-scan name (core.LeafScan's Stringer).
 	LeafScan string `json:"leaf_scan"`
-	// Decisions are the advisor recommendations that shaped the plan, with
-	// the costmodel inputs that produced them. Empty when no advisor was
-	// consulted.
-	Decisions []costmodel.Decision `json:"decisions,omitempty"`
 	// Shards is the tile count T of a sharded execution (0 or 1 =
 	// unsharded); Transport names the shard-join transport ("inproc", a
 	// wire transport's name); Tiles are the shard tile boundaries.

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/costmodel"
 	"repro/internal/obs"
 )
 
@@ -23,11 +22,6 @@ func sampleExplain() *Explain {
 			K:         8,
 			Workers:   4,
 			LeafScan:  "sweep",
-			Decisions: []costmodel.Decision{{
-				Subject: "shards", Choice: "4",
-				Reason: "2x the 2 concurrent joins keeps workers busy",
-				NA:     10000, NB: 10000, Overlap: 0.8, K: 8, Fanout: 14.7,
-			}},
 			Shards:    4,
 			Transport: "inproc",
 			Tiles: []Tile{
@@ -239,7 +233,6 @@ func TestRender(t *testing.T) {
 		"plan",
 		"algorithm: HEAP  k=8  workers=4",
 		"leaf_scan: sweep",
-		"advisor shards → 4",
 		"shards: 4 tiles via inproc",
 		"tile 3: (empty)",
 		"execution",

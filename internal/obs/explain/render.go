@@ -22,10 +22,6 @@ func (e *Explain) Render() string {
 		fmt.Sprintf("algorithm: %s  k=%d  workers=%d", e.Plan.Algorithm, e.Plan.K, e.Plan.Workers),
 		fmt.Sprintf("leaf_scan: %s", e.Plan.LeafScan),
 	}
-	for _, d := range e.Plan.Decisions {
-		planLines = append(planLines, fmt.Sprintf("advisor %s → %s — %s (n_a=%d n_b=%d overlap=%.2f k=%d fanout=%.1f)",
-			d.Subject, d.Choice, d.Reason, d.NA, d.NB, d.Overlap, d.K, d.Fanout))
-	}
 	if e.Plan.Shards > 1 {
 		planLines = append(planLines, fmt.Sprintf("shards: %d tiles via %s", e.Plan.Shards, e.Plan.Transport))
 		for _, t := range e.Plan.Tiles {

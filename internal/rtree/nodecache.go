@@ -96,9 +96,11 @@ func (c *NodeCache) shardFor(id storage.PageID) *nodeCacheShard {
 func (c *NodeCache) Get(id storage.PageID) (*Node, bool) {
 	s := c.shardFor(id)
 	s.mu.Lock()
+	var n *Node
 	e, ok := s.entries[id]
 	if ok {
 		s.moveToFront(e)
+		n = e.node // under the lock: Add may replace it concurrently
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -106,7 +108,7 @@ func (c *NodeCache) Get(id storage.PageID) (*Node, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return e.node, true
+	return n, true
 }
 
 // Add caches a freshly decoded node, evicting the shard's LRU entry when

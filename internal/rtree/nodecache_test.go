@@ -224,6 +224,32 @@ func TestNodeCacheConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
+// TestNodeCacheGetAddSameID races a lookup against a re-Add of the same
+// page (two parallel workers decoding one node): Get must read the entry's
+// node under the shard lock that Add writes it under (run under -race).
+func TestNodeCacheGetAddSameID(t *testing.T) {
+	c := NewNodeCache(4, 1)
+	c.Add(&Node{ID: 1})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			c.Add(&Node{ID: 1})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			if n, ok := c.Get(1); !ok || n.ID != 1 {
+				t.Errorf("Get(1) = %v, %v", n, ok)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
 // TestSetNodeCacheClears ensures re-attaching a cache cannot serve nodes
 // cached under a previous attachment.
 func TestSetNodeCacheClears(t *testing.T) {

@@ -127,8 +127,8 @@ func TestExecutorExplainCapture(t *testing.T) {
 }
 
 // loopback is a test Transport that simulates a wire hop: it strips every
-// process-local pointer from the options (tracer, metrics, slow log —
-// exactly what cannot be marshaled), runs the join with a fresh remote
+// process-local pointer from the options (tracer, metrics — exactly what
+// cannot be marshaled), runs the join with a fresh remote
 // explain capture, and returns the remote span forest, as the Transport
 // wire contract specifies. The shared bound pointer is kept: a real wire
 // transport proxies it with min-messages, which the in-process pointer
@@ -139,7 +139,6 @@ func (loopback) Join(ctx context.Context, tc obs.TraceContext, a, b *rtree.Tree,
 	remote := explain.New(nil)
 	opts.Tracer = remote
 	opts.Metrics = nil
-	opts.SlowLog = nil
 	opts.Trace = tc
 	pairs, stats, err := core.KClosestPairsContext(ctx, a, b, k, opts)
 	if err != nil {

@@ -103,17 +103,20 @@ func WithTracer(tr Tracer) QueryOption {
 	return func(o *queryConfig) { o.core.Tracer = tr }
 }
 
-// WithMetrics records the query's cost (latency, accesses, K-th distance,
-// cache counters, worker utilization) into the given engine metric set at
-// completion. Recording happens once per query, never inside the
-// traversal.
+// WithMetrics records the query's cost report (latency, accesses, K-th
+// distance, cache counters) into the given engine metric set at
+// completion, once per query whatever its shape (bichromatic, sharded,
+// self, semi, range). The engine adds what only it can measure: one
+// worker-utilization sample per parallel HEAP query and the per-shard
+// series of a sharded one. Nothing is recorded inside the traversal.
 func WithMetrics(em *EngineMetrics) QueryOption {
 	return func(o *queryConfig) { o.core.Metrics = em }
 }
 
 // WithSlowQueryLog feeds the query's cost report to the given slow-query
 // log: aggregated always, written as a JSON line when the latency meets
-// the log's threshold.
+// the log's threshold. The report is the same one WithMetrics records;
+// under WithExplain the line embeds the explain snapshot.
 func WithSlowQueryLog(l *SlowQueryLog) QueryOption {
-	return func(o *queryConfig) { o.core.SlowLog = l }
+	return func(o *queryConfig) { o.slowLog = l }
 }

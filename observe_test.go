@@ -184,6 +184,88 @@ func TestSlowQueryLogThreshold(t *testing.T) {
 	}
 }
 
+// TestQueryCostReport checks the one per-query cost report: whatever the
+// query's shape, WithMetrics and WithSlowQueryLog see exactly one report
+// per query, built from the Stats the query returned. A sharded query
+// counts once (not once per shard-pair join), and self, semi and range
+// queries report under their own label.
+func TestQueryCostReport(t *testing.T) {
+	p, q := buildPair(t)
+	const k = 10
+	rows := []struct {
+		name  string
+		label string
+		run   func(opts ...cpq.QueryOption) ([]cpq.Pair, cpq.Stats, error)
+	}{
+		{"sequential", "HEAP k=10", func(opts ...cpq.QueryOption) ([]cpq.Pair, cpq.Stats, error) {
+			return cpq.KClosestPairs(p, q, k, opts...)
+		}},
+		{"parallel", "HEAP k=10 par=2", func(opts ...cpq.QueryOption) ([]cpq.Pair, cpq.Stats, error) {
+			return cpq.KClosestPairs(p, q, k, append(opts, cpq.WithParallelism(2))...)
+		}},
+		{"sharded", "HEAP k=10 shards=8", func(opts ...cpq.QueryOption) ([]cpq.Pair, cpq.Stats, error) {
+			return cpq.KClosestPairs(p, q, k, append(opts, cpq.WithShards(8))...)
+		}},
+		{"sharded+explain", "HEAP k=10 shards=8", func(opts ...cpq.QueryOption) ([]cpq.Pair, cpq.Stats, error) {
+			ec := cpq.NewExplainCapture(nil)
+			return cpq.KClosestPairs(p, q, k, append(opts, cpq.WithShards(8), cpq.WithExplain(ec))...)
+		}},
+		{"self", "self HEAP k=10", func(opts ...cpq.QueryOption) ([]cpq.Pair, cpq.Stats, error) {
+			return cpq.SelfKClosestPairs(p, k, opts...)
+		}},
+		{"semi", "semi", func(opts ...cpq.QueryOption) ([]cpq.Pair, cpq.Stats, error) {
+			return cpq.SemiClosestPairs(p, q, opts...)
+		}},
+		{"range", "range", func(opts ...cpq.QueryOption) ([]cpq.Pair, cpq.Stats, error) {
+			stats, err := cpq.WithinDistance(p, q, 0.01, func(cpq.Pair) bool { return true }, opts...)
+			return nil, stats, err
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			em := cpq.NewEngineMetrics(cpq.NewMetrics())
+			var buf bytes.Buffer
+			slow := cpq.NewSlowQueryLog(0, &buf) // threshold 0: every query logs
+			pairs, stats, err := row.run(cpq.WithMetrics(em), cpq.WithSlowQueryLog(slow))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := em.Queries.Value(); got != 1 {
+				t.Errorf("Queries = %d, want 1", got)
+			}
+			if got := em.AccessesTotal.Value(); got != stats.Accesses() {
+				t.Errorf("AccessesTotal = %d, Stats.Accesses() = %d", got, stats.Accesses())
+			}
+			if len(pairs) > 0 {
+				if n := em.ResultDistance.Count(); n != 1 {
+					t.Errorf("ResultDistance has %d samples, want 1", n)
+				}
+				if got, want := em.ResultDistance.Sum(), pairs[len(pairs)-1].Dist; got != want {
+					t.Errorf("ResultDistance sum = %v, want the K-th distance %v", got, want)
+				}
+			} else if n := em.ResultDistance.Count(); n != 0 {
+				t.Errorf("ResultDistance has %d samples for a query that returned no pairs", n)
+			}
+			if n := strings.Count(buf.String(), "\n"); n != 1 {
+				t.Fatalf("slow log wrote %d lines, want 1:\n%s", n, buf.String())
+			}
+			var rep cpq.QueryReport
+			if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+				t.Fatalf("slow log line is not JSON: %v", err)
+			}
+			if rep.Label != row.label {
+				t.Errorf("label = %q, want %q", rep.Label, row.label)
+			}
+			if rep.Accesses != stats.Accesses() {
+				t.Errorf("slow log accesses = %d, Stats.Accesses() = %d", rep.Accesses, stats.Accesses())
+			}
+			if explained := strings.HasSuffix(row.name, "+explain"); explained != (len(rep.Explain) > 0) {
+				t.Errorf("slow log line embeds explain: %v, want %v", len(rep.Explain) > 0, explained)
+			}
+		})
+	}
+}
+
 // Example_observability is the README's curl-able setup in miniature.
 func Example_observability() {
 	reg := cpq.NewMetrics()

@@ -2,14 +2,14 @@ package cpq
 
 import (
 	"context"
-
-	"errors"
+	"strconv"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/incremental"
+	"repro/internal/obs"
 	"repro/internal/obs/explain"
-	"repro/internal/rtree"
 	"repro/internal/shard"
 	"repro/internal/sortx"
 )
@@ -115,13 +115,16 @@ func Chebyshev() Metric { return geom.LInf() }
 func Minkowski(p float64) (Metric, error) { return geom.Lp(p) }
 
 // queryConfig is the facade-level query configuration: the engine options
-// plus the scatter-gather knobs (tile count, transport) that live above
-// the engine.
+// plus what lives above the engine — the scatter-gather knobs (tile
+// count, transport) and the consumers of the per-query cost report
+// (explain capture, slow-query log; the metric set rides in core.Metrics
+// because the engine also samples worker utilization into it).
 type queryConfig struct {
 	core      core.Options
 	shards    int
 	transport shard.Transport
 	capture   *explain.Capture
+	slowLog   *obs.SlowQueryLog
 }
 
 // QueryOption tunes a closest-pair query.
@@ -230,63 +233,106 @@ func buildConfig(opts []QueryOption) queryConfig {
 	return c
 }
 
-// buildOptions resolves just the engine options, for the query variants
-// that never shard.
-func buildOptions(opts []QueryOption) core.Options {
-	return buildConfig(opts).core
+// buildPlainConfig resolves the options of the query variants that never
+// shard and take no explain capture (self, semi, range): WithShards and
+// WithExplain do not apply to them.
+func buildPlainConfig(opts []QueryOption) queryConfig {
+	c := buildConfig(opts)
+	c.shards, c.capture = 0, nil
+	return c
 }
 
-// shardedKClosestPairs routes a bichromatic K-CPQ through the
-// scatter-gather executor: re-partition both sets into cfg.shards tiles,
-// join the tile pairs under a broadcast bound, K-merge. The shard trees
-// inherit p's tree geometry so per-shard traversals see the same page
-// and fan-out regime as the monolithic join.
-func shardedKClosestPairs(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pair, Stats, error) {
-	itemsP, err := collectItems(p)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	itemsQ, err := collectItems(q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	set, err := shard.PartitionContext(ctx, itemsP, itemsQ, shard.Config{
-		Tiles:   cfg.shards,
-		Tree:    p.tree.Config(),
-		Capture: cfg.capture,
-	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	tr := cfg.transport
-	if tr == nil {
-		tr = shard.InProc{}
-	}
-	// The tile-bound collection runs only under an explain capture; the
-	// nil-capture path must not pay for it (SetPlanShards is nil-safe, but
-	// its arguments would still be built).
-	if cfg.capture != nil {
-		cfg.capture.SetPlanShards(cfg.shards, tr.String(), set.TileBounds())
-	}
-	ex := shard.Executor{Set: set, Transport: tr, Capture: cfg.capture}
-	res, err := ex.RunContext(ctx, k, cfg.core)
-	if err != nil {
-		return nil, Stats{}, errors.Join(err, set.Close())
-	}
-	if err := set.Close(); err != nil {
-		return nil, Stats{}, err
-	}
-	return res.Pairs, res.Stats, nil
+// observed reports whether a consumer of the per-query cost report is
+// attached. Without one the facade takes no timestamps and builds no
+// report.
+func (c *queryConfig) observed() bool {
+	return c.core.Metrics != nil || c.slowLog != nil || c.capture != nil
 }
 
-// collectItems drains an index's items for re-partitioning.
-func collectItems(i *Index) ([]rtree.Item, error) {
-	out := make([]rtree.Item, 0, i.tree.Len())
-	err := i.tree.All(func(it rtree.Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out, err
+// start returns the query's start time, or the zero time when nothing
+// will read it.
+func (c *queryConfig) start() time.Time {
+	if !c.observed() {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// label renders the query's report label: the engine's QueryLabel,
+// prefixed with the query shape ("self", ...) and suffixed with the tile
+// count of a sharded run, so slow-log aggregates never mix shapes. Shapes
+// without a K ("semi", "range") are labelled by the shape alone.
+func (c *queryConfig) label(shape string, k int) string {
+	if k <= 0 {
+		return shape
+	}
+	l := core.QueryLabel(c.core, k)
+	if shape != "" {
+		l = shape + " " + l
+	}
+	if c.shards > 1 {
+		l += " shards=" + strconv.Itoa(c.shards)
+	}
+	return l
+}
+
+// report is the one report step of every facade query: it builds the
+// query's cost report once (core.NewQueryReport) and feeds it to the
+// attached consumers — the explain capture's result, the metric set and
+// the slow-query log, whose line embeds the explain snapshot when a
+// capture is attached. A no-op when nothing is attached.
+func (c *queryConfig) report(shape string, k int, started time.Time, pairs []Pair, stats Stats, err error) {
+	if !c.observed() {
+		return
+	}
+	elapsed := time.Since(started)
+	r := core.NewQueryReport(c.label(shape, k), c.core, pairs, stats, elapsed, err)
+	if ec := c.capture; ec != nil && err == nil {
+		ec.SetResult(elapsed.Nanoseconds(), stats.ExplainStats(), r.Results, r.KthDistance)
+		if c.slowLog != nil {
+			if raw, jerr := ec.Snapshot().JSON(); jerr == nil {
+				r.Explain = raw
+			}
+		}
+	}
+	c.core.Metrics.Record(r)
+	c.slowLog.Record(r)
+}
+
+// runKCPQ is the one bichromatic K-CPQ runner behind ClosestPair,
+// KClosestPairs and Explain. It wires an attached explain capture in as
+// the query's tracer (teeing any user tracer) and records the plan,
+// routes the query to the monolithic join or the scatter-gather executor,
+// and hands the outcome to the report step.
+func runKCPQ(ctx context.Context, p, q *Index, k int, cfg queryConfig) ([]Pair, Stats, error) {
+	if ec := cfg.capture; ec != nil {
+		ec.SetTee(cfg.core.Tracer)
+		cfg.core.Tracer = ec
+		ec.SetPlan(explain.Plan{
+			Label:     cfg.label("", k),
+			Algorithm: cfg.core.Algorithm.String(),
+			K:         k,
+			Workers:   cfg.core.Workers(),
+			LeafScan:  cfg.core.LeafScan.String(),
+		})
+	}
+	started := cfg.start()
+	var pairs []Pair
+	var stats Stats
+	var err error
+	if cfg.shards > 1 {
+		var res shard.Result
+		res, err = shard.KClosestPairsContext(ctx, p.tree, q.tree, k, cfg.core,
+			shard.Config{Tiles: cfg.shards, Capture: cfg.capture}, cfg.transport)
+		pairs, stats = res.Pairs, res.Stats
+	} else {
+		pairs, stats, err = core.KClosestPairsContext(ctx, p.tree, q.tree, k, cfg.core)
+		if cfg.capture != nil {
+			cfg.capture.Phase("join", time.Since(started).Nanoseconds())
+		}
+	}
+	cfg.report("", k, started, pairs, stats, err)
+	return pairs, stats, err
 }
 
 // ClosestPair returns the closest pair between the two indexed point sets
@@ -302,22 +348,19 @@ func ClosestPair(p, q *Index, opts ...QueryOption) (Pair, Stats, error) {
 // When the context never fires the results, paper counters and disk
 // accesses are identical to the context-free call.
 func ClosestPairContext(ctx context.Context, p, q *Index, opts ...QueryOption) (Pair, Stats, error) {
-	cfg := buildConfig(opts)
-	if cfg.capture != nil {
-		pairs, stats, err := explainKCPQ(ctx, p, q, 1, cfg)
-		if err != nil {
-			return Pair{}, stats, err
-		}
-		return pairs[0], stats, nil
+	pairs, stats, err := runKCPQ(ctx, p, q, 1, buildConfig(opts))
+	return firstPair(pairs, stats, err)
+}
+
+// firstPair unwraps a K = 1 answer.
+func firstPair(pairs []Pair, stats Stats, err error) (Pair, Stats, error) {
+	if err != nil {
+		return Pair{}, stats, err
 	}
-	if cfg.shards > 1 {
-		pairs, stats, err := shardedKClosestPairs(ctx, p, q, 1, cfg)
-		if err != nil {
-			return Pair{}, stats, err
-		}
-		return pairs[0], stats, nil
+	if len(pairs) == 0 {
+		return Pair{}, stats, core.ErrEmptyInput
 	}
-	return core.ClosestPairContext(ctx, p.tree, q.tree, cfg.core)
+	return pairs[0], stats, nil
 }
 
 // KClosestPairs returns the k closest pairs between the two indexed point
@@ -331,14 +374,7 @@ func KClosestPairs(p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, erro
 // KClosestPairsContext is KClosestPairs under a context; see
 // ClosestPairContext for the cancellation contract.
 func KClosestPairsContext(ctx context.Context, p, q *Index, k int, opts ...QueryOption) ([]Pair, Stats, error) {
-	cfg := buildConfig(opts)
-	if cfg.capture != nil {
-		return explainKCPQ(ctx, p, q, k, cfg)
-	}
-	if cfg.shards > 1 {
-		return shardedKClosestPairs(ctx, p, q, k, cfg)
-	}
-	return core.KClosestPairsContext(ctx, p.tree, q.tree, k, cfg.core)
+	return runKCPQ(ctx, p, q, k, buildConfig(opts))
 }
 
 // SelfClosestPair returns the closest pair of distinct points within one
@@ -351,7 +387,7 @@ func SelfClosestPair(p *Index, opts ...QueryOption) (Pair, Stats, error) {
 // SelfClosestPairContext is SelfClosestPair under a context; see
 // ClosestPairContext for the cancellation contract.
 func SelfClosestPairContext(ctx context.Context, p *Index, opts ...QueryOption) (Pair, Stats, error) {
-	return core.SelfClosestPairContext(ctx, p.tree, buildOptions(opts))
+	return firstPair(SelfKClosestPairsContext(ctx, p, 1, opts...))
 }
 
 // SelfKClosestPairs returns the k closest unordered pairs of distinct
@@ -364,7 +400,11 @@ func SelfKClosestPairs(p *Index, k int, opts ...QueryOption) ([]Pair, Stats, err
 // SelfKClosestPairsContext is SelfKClosestPairs under a context; see
 // ClosestPairContext for the cancellation contract.
 func SelfKClosestPairsContext(ctx context.Context, p *Index, k int, opts ...QueryOption) ([]Pair, Stats, error) {
-	return core.SelfKClosestPairsContext(ctx, p.tree, k, buildOptions(opts))
+	cfg := buildPlainConfig(opts)
+	started := cfg.start()
+	pairs, stats, err := core.SelfKClosestPairsContext(ctx, p.tree, k, cfg.core)
+	cfg.report("self", k, started, pairs, stats, err)
+	return pairs, stats, err
 }
 
 // SemiClosestPairs returns, for every point of p, its nearest point in q
@@ -377,7 +417,11 @@ func SemiClosestPairs(p, q *Index, opts ...QueryOption) ([]Pair, Stats, error) {
 // SemiClosestPairsContext is SemiClosestPairs under a context; see
 // ClosestPairContext for the cancellation contract.
 func SemiClosestPairsContext(ctx context.Context, p, q *Index, opts ...QueryOption) ([]Pair, Stats, error) {
-	return core.SemiClosestPairsContext(ctx, p.tree, q.tree, buildOptions(opts))
+	cfg := buildPlainConfig(opts)
+	started := cfg.start()
+	pairs, stats, err := core.SemiClosestPairsContext(ctx, p.tree, q.tree, cfg.core)
+	cfg.report("semi", 0, started, pairs, stats, err)
+	return pairs, stats, err
 }
 
 // SemiClosestPairsBatched computes the same result as SemiClosestPairs
@@ -392,7 +436,11 @@ func SemiClosestPairsBatched(p, q *Index, opts ...QueryOption) ([]Pair, Stats, e
 // SemiClosestPairsBatchedContext is SemiClosestPairsBatched under a
 // context; see ClosestPairContext for the cancellation contract.
 func SemiClosestPairsBatchedContext(ctx context.Context, p, q *Index, opts ...QueryOption) ([]Pair, Stats, error) {
-	return core.SemiClosestPairsBatchedContext(ctx, p.tree, q.tree, buildOptions(opts))
+	cfg := buildPlainConfig(opts)
+	started := cfg.start()
+	pairs, stats, err := core.SemiClosestPairsBatchedContext(ctx, p.tree, q.tree, cfg.core)
+	cfg.report("semi-batched", 0, started, pairs, stats, err)
+	return pairs, stats, err
 }
 
 // Traversal selects the incremental join's expansion policy (Hjaltason &
